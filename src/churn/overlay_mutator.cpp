@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "location/location_service.h"
 #include "net/doubling_measure.h"
 #include "net/nets.h"
 
@@ -38,15 +39,18 @@ OverlayMutator::OverlayMutator(const ProximityIndex& prox,
             "OverlayMutator: spec n=" << spec.n << " != metric n=" << n);
 
   // Static build, mirroring LocationOverlay/ScenarioBuilder exactly so a
-  // zero-op mutator is bit-identical to the static pipeline.
-  const int l_max =
-      static_cast<int>(std::ceil(std::log2(prox_.aspect_ratio()))) + 1;
+  // zero-op mutator is bit-identical to the static pipeline. It is the whole
+  // cold start of a served dense overlay, so it gets its own gauge.
+  const Stopwatch build_watch(*clock_);
+  const int l_max = overlay_net_top_level(prox_);
   NetHierarchy nets(prox_, l_max);
   weights0_ = doubling_measure(nets);
   weights_ = weights0_;
   MeasureView mu(prox_, weights0_);
   RingsSmallWorld model(prox_, mu, params_, spec.overlay_seed);
   rings_ = model.rings();
+  metrics_.gauge("ron_churn_build_seconds")
+      .set(build_watch.elapsed_seconds());
 
   l_max_ = l_max;
   net_members_.resize(static_cast<std::size_t>(l_max_) + 1);

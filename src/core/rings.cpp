@@ -319,8 +319,11 @@ Ring sample_measure_ball_ring(const MeasureView& mu, NodeId u, Dist radius,
   Ring ring;
   ring.scale = radius;
   ring.members.reserve(count);
+  // One ball per ring, not per sample: every draw comes from the same
+  // B_u(radius), and materializing it dominates the draw itself.
+  const BallIds ball = mu.prox().ball_ids(u, radius);
   for (std::size_t i = 0; i < count; ++i) {
-    ring.members.push_back(mu.sample_in_ball(u, radius, rng));
+    ring.members.push_back(mu.sample_in_ball(ball, radius, rng));
   }
   std::sort(ring.members.begin(), ring.members.end());
   ring.members.erase(

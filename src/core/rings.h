@@ -202,7 +202,7 @@ Ring sample_uniform_ball_ring(const ProximityIndex& prox, NodeId u,
                               Rng& rng);
 
 /// Policy (2a): `count` nodes sampled from B_u(radius) with probability
-/// mu(.)/mu(B) (deduped).
+/// mu(.)/mu(B) (deduped). Materializes the ball once per ring.
 Ring sample_measure_ball_ring(const MeasureView& mu, NodeId u, Dist radius,
                               std::size_t count, Rng& rng);
 

@@ -119,13 +119,14 @@ LocateResult LocationService::locate(NodeId querier, const std::string& object,
   return locate(querier, obj, opts);
 }
 
+int overlay_net_top_level(const ProximityIndex& prox) {
+  return static_cast<int>(std::ceil(std::log2(prox.aspect_ratio()))) + 1;
+}
+
 LocationOverlay::LocationOverlay(const ProximityIndex& prox,
                                  const RingsModelParams& params,
                                  std::uint64_t seed) {
-  // Scale range [log Δ] as in §5: the top net level must span the diameter.
-  const int l_max =
-      static_cast<int>(std::ceil(std::log2(prox.aspect_ratio()))) + 1;
-  nets_ = std::make_unique<NetHierarchy>(prox, l_max);
+  nets_ = std::make_unique<NetHierarchy>(prox, overlay_net_top_level(prox));
   mu_ = std::make_unique<MeasureView>(prox, doubling_measure(*nets_));
   mu_view_ = mu_.get();
   model_ = std::make_unique<RingsSmallWorld>(prox, *mu_, params, seed);

@@ -117,6 +117,11 @@ class LocationService {
   const ObjectDirectory& directory_;
 };
 
+/// Top level of the overlay's net hierarchy: scales [log Δ] as in §5, so the
+/// top net level spans the diameter. Every Theorem 5.2(a) overlay build
+/// (LocationOverlay, ScenarioBuilder, OverlayMutator) uses this depth.
+int overlay_net_top_level(const ProximityIndex& prox);
+
 /// Bundles the Theorem 5.2(a) overlay build that every location consumer
 /// repeated inline until now: net hierarchy over [log Δ] -> Theorem 1.3
 /// doubling measure -> X+Y rings small world (or the Y-only foil). Owns the

@@ -193,6 +193,20 @@ std::span<const ProximityIndex::Neighbor> DenseProximityIndex::ball(
 
 BallIds DenseProximityIndex::ball_ids(NodeId u, Dist r) const {
   auto b = ball(u, r);
+  // Line families (and every ball that does not wrap) hold one id run: k
+  // distinct ids spanning exactly max - min + 1 values are that run, which
+  // is the canonical form the sort below would also produce.
+  if (!b.empty()) {
+    NodeId lo = b.front().v;
+    NodeId hi = lo;
+    for (const Neighbor& nb : b) {
+      lo = std::min(lo, nb.v);
+      hi = std::max(hi, nb.v);
+    }
+    if (static_cast<std::size_t>(hi - lo) + 1 == b.size()) {
+      return BallIds::from_runs({{lo, hi + 1}});
+    }
+  }
   std::vector<NodeId> ids;
   ids.reserve(b.size());
   for (const Neighbor& nb : b) ids.push_back(nb.v);

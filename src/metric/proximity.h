@@ -156,6 +156,9 @@ class DenseProximityIndex final : public ProximityIndex {
   std::size_t ball_size(NodeId u, Dist r) const override {
     return ball(u, r).size();
   }
+  /// k = |B_u(r)|: O(k) when the ball is one id run (every line-family
+  /// ball; min/max scan of the row prefix), O(k log k) otherwise (copy and
+  /// sort the prefix ids).
   BallIds ball_ids(NodeId u, Dist r) const override;
   Dist kth_radius(NodeId u, std::size_t k) const override;
 

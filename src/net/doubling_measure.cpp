@@ -79,7 +79,10 @@ double MeasureView::ball_measure(NodeId u, Dist r) const {
 Dist MeasureView::rank_radius(NodeId u, double eps) const {
   const std::size_t n = prox_.n();
   RON_CHECK(eps > 0.0, "rank_radius: eps must be positive");
-  RON_CHECK(eps <= ball_measure(u, prox_.dmax()) + 1e-12,
+  // G_.back() is the total mass summed sequentially in ascending id order —
+  // the same double ball_measure(u, dmax) computes, without copying the
+  // whole-metric ball on every call.
+  RON_CHECK(eps <= G_.back() + 1e-12,
             "rank_radius: eps exceeds total mass around node " << u);
   // Measure of the closed k-th-radius ball is nondecreasing in the rank k,
   // so binary search for the smallest rank whose ball reaches eps
@@ -97,7 +100,11 @@ Dist MeasureView::rank_radius(NodeId u, double eps) const {
 }
 
 NodeId MeasureView::sample_in_ball(NodeId u, Dist r, Rng& rng) const {
-  const BallIds ids = prox_.ball_ids(u, r);
+  return sample_in_ball(prox_.ball_ids(u, r), r, rng);
+}
+
+NodeId MeasureView::sample_in_ball(const BallIds& ids, Dist r,
+                                   Rng& rng) const {
   RON_CHECK(!ids.empty(), "empty ball at radius " << r);
   // Both branches consume exactly one uniform draw, and the branch follows
   // the canonical BallIds form, so either proximity backend advances the

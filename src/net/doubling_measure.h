@@ -46,7 +46,16 @@ class MeasureView {
 
   /// One node of B_u(r) drawn with probability weight / ball mass,
   /// consuming exactly one uniform rng draw on either internal branch.
+  /// Materializes the ball per call; equivalent to
+  /// sample_in_ball(prox().ball_ids(u, r), r, rng).
   NodeId sample_in_ball(NodeId u, Dist r, Rng& rng) const;
+
+  /// The same draw from an already-materialized ball (`ball` = the
+  /// ball_ids(u, r) of this measure's index; `r` only names the radius in
+  /// the empty-ball / zero-mass errors). Same node and same rng state as
+  /// the (u, r) form — callers drawing many samples from one ball (a Y
+  /// ring) materialize it once and call this per sample.
+  NodeId sample_in_ball(const BallIds& ball, Dist r, Rng& rng) const;
 
   /// Empirical doubling constant: max over sampled (u, dyadic r) of
   /// mu(B_u(r)) / mu(B_u(r/2)).

@@ -63,13 +63,29 @@ DistanceLabeling ScenarioBuilder::take_labeling() {
 
 const LocationOverlay& ScenarioBuilder::overlay() {
   if (overlay_ == nullptr) {
+    // LocationOverlay's own pipeline, one gauge per stage. The nets only
+    // feed the measure, so they are dropped before the rings are sampled.
     timed_stage("ron_build_overlay_seconds", [&] {
-      overlay_ = std::make_unique<LocationOverlay>(
-          *prox_, spec_.ring_params(), spec_.overlay_seed);
+      std::unique_ptr<NetHierarchy> nets;
+      timed_stage("ron_build_nets_seconds", [&] {
+        nets = std::make_unique<NetHierarchy>(*prox_,
+                                              overlay_net_top_level(*prox_));
+      });
+      timed_stage("ron_build_measure_seconds", [&] {
+        measure_ =
+            std::make_unique<MeasureView>(*prox_, doubling_measure(*nets));
+      });
+      nets.reset();
+      timed_stage("ron_build_rings_seconds", [&] {
+        overlay_ = std::make_unique<LocationOverlay>(
+            *measure_, spec_.ring_params(), spec_.overlay_seed);
+      });
       // Large sparse-backend builds are served through LocationService
       // (visitation accessors), so compact the rings; small dense builds
       // keep the mutable form for churn and the span accessors.
-      if (sparse_backend()) overlay_->seal_rings();
+      timed_stage("ron_build_seal_seconds", [&] {
+        if (sparse_backend()) overlay_->seal_rings();
+      });
     });
   }
   return *overlay_;

@@ -104,6 +104,7 @@ class ScenarioBuilder {
   std::unique_ptr<ProximityIndex> prox_;
   std::unique_ptr<NeighborSystem> sys_;
   std::unique_ptr<DistanceLabeling> labeling_;
+  std::unique_ptr<MeasureView> measure_;  // borrowed by overlay_
   std::unique_ptr<LocationOverlay> overlay_;
 };
 

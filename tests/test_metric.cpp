@@ -3,7 +3,9 @@
 // geometric line has O(1) doubling dimension but Θ(log n) grid dimension).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "metric/clustered.h"
@@ -252,6 +254,65 @@ TEST_F(ProximityTest, NearestIn) {
     EXPECT_LE(prox_.dist(1, near), prox_.dist(1, c));
   }
   EXPECT_EQ(prox_.nearest_in(1, std::span<const NodeId>{}), kInvalidNode);
+}
+
+// Dense ball_ids skips the sort when the ball is one id run; whichever path
+// it takes, the result must be the sort-then-canonicalize reference.
+struct BallKinds {
+  std::size_t single_run = 0;
+  std::size_t two_runs = 0;
+  std::size_t ids_backed = 0;
+};
+
+void expect_ball_ids_match_sorted_reference(const MetricSpace& metric,
+                                            BallKinds& kinds) {
+  DenseProximityIndex prox(metric);
+  for (NodeId u = 0; u < prox.n(); ++u) {
+    for (int i = 0; i <= prox.num_levels(); ++i) {
+      const Dist r = prox.level_radius(u, i);
+      std::vector<NodeId> ref_ids;
+      for (const auto& nb : prox.ball(u, r)) ref_ids.push_back(nb.v);
+      std::sort(ref_ids.begin(), ref_ids.end());
+      const BallIds ref = BallIds::from_sorted_ids(std::move(ref_ids));
+      const BallIds got = prox.ball_ids(u, r);
+      ASSERT_EQ(got.size(), ref.size()) << "u=" << u << " i=" << i;
+      ASSERT_EQ(got.runs_backed(), ref.runs_backed()) << "u=" << u
+                                                      << " i=" << i;
+      if (ref.runs_backed()) {
+        ASSERT_EQ(got.runs().size(), ref.runs().size());
+        for (std::size_t k = 0; k < ref.runs().size(); ++k) {
+          EXPECT_EQ(got.runs()[k].begin, ref.runs()[k].begin);
+          EXPECT_EQ(got.runs()[k].end, ref.runs()[k].end);
+        }
+        ++(ref.runs().size() == 1 ? kinds.single_run : kinds.two_runs);
+      } else {
+        EXPECT_TRUE(std::equal(got.ids().begin(), got.ids().end(),
+                               ref.ids().begin(), ref.ids().end()))
+            << "u=" << u << " i=" << i;
+        ++kinds.ids_backed;
+      }
+    }
+  }
+}
+
+TEST(Proximity, DenseBallIdsMatchSortedReference) {
+  // Geometric line: every ball is one run (the sort-free path).
+  BallKinds line;
+  expect_ball_ids_match_sorted_reference(GeometricLineMetric(96, 1.3), line);
+  EXPECT_GT(line.single_run, 0u);
+  EXPECT_EQ(line.two_runs + line.ids_backed, 0u);
+  // Ring: balls across node 0 wrap into two runs (the fallback sort).
+  BallKinds ring;
+  expect_ball_ids_match_sorted_reference(RingMetric(75), ring);
+  EXPECT_GT(ring.single_run, 0u);
+  EXPECT_GT(ring.two_runs, 0u);
+  // Clustered cloud: scattered ids, stored as the sorted id vector.
+  ClusteredParams p;
+  p.clusters = 6;
+  p.per_cluster = 12;
+  BallKinds cloud;
+  expect_ball_ids_match_sorted_reference(clustered_metric(p, 31), cloud);
+  EXPECT_GT(cloud.ids_backed, 0u);
 }
 
 TEST(Proximity, DuplicatePointsRejected) {

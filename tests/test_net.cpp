@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "metric/euclidean.h"
 #include "metric/line_metrics.h"
 #include "metric/proximity.h"
@@ -246,6 +247,56 @@ TEST_F(MeasureTest, ExponentialLineMassProfile) {
   double prefix_half = 0.0;
   for (NodeId v = 0; v < 16; ++v) prefix_half += mu.weight(v);
   EXPECT_LT(prefix_half, 0.2);
+}
+
+// A Y ring materializes its ball once and draws every sample from it; each
+// draw must be the one the per-call (u, r) form makes, from the same rng
+// state, leaving the same rng state — on both canonical ball forms.
+void expect_materialized_ball_draws_match(const ProximityIndex& prox,
+                                         const MeasureView& mu,
+                                         std::size_t& runs_balls,
+                                         std::size_t& ids_balls) {
+  for (NodeId u = 0; u < prox.n(); u += 7) {
+    for (int j = 0; j <= prox.num_scales(); ++j) {
+      const Dist r = prox.dmin() * std::ldexp(1.0, j);
+      const BallIds ball = prox.ball_ids(u, r);
+      ++(ball.runs_backed() ? runs_balls : ids_balls);
+      Rng per_call(1000 + u);
+      Rng hoisted(1000 + u);
+      Rng one_uniform(1000 + u);
+      for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(mu.sample_in_ball(ball, r, hoisted),
+                  mu.sample_in_ball(u, r, per_call))
+            << "u=" << u << " j=" << j << " s=" << s;
+        one_uniform.uniform();
+      }
+      // Same stream position afterwards: exactly one uniform per draw.
+      const std::uint64_t next = one_uniform.uniform_u64(0, ~0ULL);
+      EXPECT_EQ(hoisted.uniform_u64(0, ~0ULL), next);
+      EXPECT_EQ(per_call.uniform_u64(0, ~0ULL), next);
+    }
+  }
+}
+
+TEST_F(MeasureTest, SampleFromMaterializedBallMatchesPerCallForm) {
+  std::size_t runs_balls = 0;
+  std::size_t ids_balls = 0;
+  GeometricLineMetric line(90, 1.3);
+  DenseProximityIndex line_prox(line);
+  NetHierarchy line_nets(line_prox, levels_for(line_prox));
+  MeasureView line_mu(line_prox, doubling_measure(line_nets));
+  expect_materialized_ball_draws_match(line_prox, line_mu, runs_balls,
+                                       ids_balls);
+  EXPECT_GT(runs_balls, 0u);
+  EXPECT_EQ(ids_balls, 0u);
+
+  auto cloud = random_cube_metric(70, 2, 17);
+  DenseProximityIndex cloud_prox(cloud);
+  NetHierarchy cloud_nets(cloud_prox, levels_for(cloud_prox));
+  MeasureView cloud_mu(cloud_prox, doubling_measure(cloud_nets));
+  expect_materialized_ball_draws_match(cloud_prox, cloud_mu, runs_balls,
+                                       ids_balls);
+  EXPECT_GT(ids_balls, 0u);
 }
 
 TEST(Measure, CountingMeasureUniform) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "churn/overlay_mutator.h"
 #include "common/rng.h"
 #include "location/location_service.h"
 #include "location/object_directory.h"
@@ -436,6 +437,36 @@ TEST(TelemetryTrace, LocationServiceTraceMirrorsTheWalk) {
   // The fixture must actually exercise walking (most queriers hold no
   // copy), otherwise the loop above proved nothing.
   EXPECT_GT(multi_hop_walks, 0u);
+}
+
+TEST(TelemetryBuild, OverlayStagesAndMutatorBuildHaveGauges) {
+  const ScenarioSpec spec = ScenarioSpec::parse("metric=geoline,n=96");
+  ScenarioBuilder builder(spec, 1, ProxBackend::kDense);
+  builder.overlay();
+  const auto* total =
+      find_metric<Gauge>(builder.metrics(), "ron_build_overlay_seconds");
+  ASSERT_NE(total, nullptr);
+  double stages = 0.0;
+  for (const char* name :
+       {"ron_build_nets_seconds", "ron_build_measure_seconds",
+        "ron_build_rings_seconds", "ron_build_seal_seconds"}) {
+    const auto* g = find_metric<Gauge>(builder.metrics(), name);
+    ASSERT_NE(g, nullptr) << name;
+    EXPECT_GE(g->value(), 0.0) << name;
+    stages += g->value();
+  }
+  // The stages nest inside the total's stopwatch.
+  EXPECT_LE(stages, total->value() + 1e-9);
+
+  // The mutator times its static build through the injected clock: a
+  // FakeClock that never advances reads exactly zero.
+  FakeClock fc(5000);
+  OverlayMutator mutator(builder.prox(), builder.spec(),
+                         ObjectDirectory(builder.n()), &fc);
+  const auto* build =
+      find_metric<Gauge>(mutator.metrics(), "ron_churn_build_seconds");
+  ASSERT_NE(build, nullptr);
+  EXPECT_EQ(build->value(), 0.0);
 }
 
 TEST(TelemetryEngine, EstimateServingRecordsExactCountsUnderFakeClock) {
