@@ -57,7 +57,10 @@ void ChurnTrace::validate(std::size_t n) const {
   }
 }
 
-void write_trace_payload(WireWriter& w, const ChurnTrace& trace) {
+namespace {
+
+template <typename Writer>
+void write_trace_impl(Writer& w, const ChurnTrace& trace) {
   w.u64(trace.objects.size());
   for (const std::string& name : trace.objects) w.str(name);
   w.u64(trace.ops.size());
@@ -68,7 +71,8 @@ void write_trace_payload(WireWriter& w, const ChurnTrace& trace) {
   }
 }
 
-ChurnTrace read_trace_payload(WireReader& r, std::size_t n) {
+template <typename Reader>
+ChurnTrace read_trace_impl(Reader& r, std::size_t n) {
   ChurnTrace trace;
   // A name costs at least its length prefix plus one byte.
   const std::uint64_t names = r.read_count(8 + 1, "churn object name");
@@ -88,6 +92,22 @@ ChurnTrace read_trace_payload(WireReader& r, std::size_t n) {
   }
   trace.validate(n);
   return trace;
+}
+
+}  // namespace
+
+void write_trace_payload(WireWriter& w, const ChurnTrace& trace) {
+  write_trace_impl(w, trace);
+}
+void write_trace_payload(WireStreamWriter& w, const ChurnTrace& trace) {
+  write_trace_impl(w, trace);
+}
+
+ChurnTrace read_trace_payload(WireReader& r, std::size_t n) {
+  return read_trace_impl(r, n);
+}
+ChurnTrace read_trace_payload(WireStreamReader& r, std::size_t n) {
+  return read_trace_impl(r, n);
 }
 
 }  // namespace ron

@@ -35,6 +35,8 @@
 namespace ron {
 
 class WireReader;
+class WireStreamReader;
+class WireStreamWriter;
 class WireWriter;
 
 enum class ChurnOpKind : std::uint8_t {
@@ -73,10 +75,13 @@ struct ChurnTrace {
   friend bool operator==(const ChurnTrace&, const ChurnTrace&) = default;
 };
 
-/// Wire round trip of the trace (the kChurnBundle payload suffix). The
-/// reader validates everything validate() checks, so a corrupted trace
-/// throws ron::Error instead of replaying garbage.
+/// Wire round trip of the trace: the kChurnBundle payload suffix (streamed)
+/// and the churn-admin frame body (in memory). The reader validates
+/// everything validate() checks, so a corrupted trace throws ron::Error
+/// instead of replaying garbage.
 void write_trace_payload(WireWriter& w, const ChurnTrace& trace);
+void write_trace_payload(WireStreamWriter& w, const ChurnTrace& trace);
 ChurnTrace read_trace_payload(WireReader& r, std::size_t n);
+ChurnTrace read_trace_payload(WireStreamReader& r, std::size_t n);
 
 }  // namespace ron

@@ -10,39 +10,9 @@ namespace ron {
 
 namespace {
 
-// Container framing (magic, header layout) is shared with the streaming
-// wire classes — see kSnapshotMagic / kSnapshotHeaderBytes in wire.h.
-constexpr std::size_t kHeaderBytes = kSnapshotHeaderBytes;
-
 bool kind_is_known(std::uint32_t k) {
   return k >= static_cast<std::uint32_t>(SnapshotKind::kRings) &&
          k <= static_cast<std::uint32_t>(SnapshotKind::kChurnBundle);
-}
-
-void check_writable_version(std::uint32_t version) {
-  RON_CHECK(version == kSnapshotVersion || version == kSnapshotVersionV1,
-            "snapshot: cannot write format version " << version);
-}
-
-/// The v1 writer gate must never lose recipe information silently: every
-/// spec field the legacy format cannot carry has to be at its default (for
-/// any genuinely-v1 artifact it is). Otherwise a downgraded file would
-/// load with a different recipe than it was built from — for a directory
-/// that means locate rebuilds the wrong overlay with no error anywhere.
-void check_v1_representable(const ScenarioSpec& spec, bool keeps_family,
-                            bool keeps_delta, bool keeps_overlay_seed,
-                            const char* what) {
-  const ScenarioSpec dflt;
-  const bool ok =
-      (keeps_family || spec.family.empty()) &&
-      (keeps_delta || spec.delta == dflt.delta) &&
-      (keeps_overlay_seed || spec.overlay_seed == dflt.overlay_seed) &&
-      spec.c_x == dflt.c_x && spec.c_y == dflt.c_y &&
-      spec.with_x == dflt.with_x && spec.params.empty() &&
-      spec.churn_ops == dflt.churn_ops && spec.churn_seed == dflt.churn_seed;
-  RON_CHECK(ok, "snapshot: v1 " << what << " format cannot carry this "
-                "scenario spec (" << spec.to_string() << ") — non-default "
-                "fields would be silently dropped; write v2 or reset them");
 }
 
 /// When the spec names a family it is a real recipe and must agree with the
@@ -55,22 +25,11 @@ void check_spec_n(const ScenarioSpec& spec, std::size_t artifact_n,
                                          << " n=" << artifact_n);
 }
 
-/// v1 checksums cover the payload alone; v2 folds the header's version and
-/// kind fields in front, so a bit-flip that relabels a v2 file (downgrades
-/// its version or swaps its kind while leaving the payload intact) fails
-/// the checksum instead of gambling on the wrong parser rejecting it.
-std::uint64_t snapshot_checksum(std::uint32_t version, SnapshotKind kind,
-                                std::span<const std::uint8_t> payload) {
-  if (version < kSnapshotVersion) return fnv1a64(payload);
-  WireWriter prefix;
-  prefix.u32(version);
-  prefix.u32(static_cast<std::uint32_t>(kind));
-  return fnv1a64_continue(fnv1a64(prefix.bytes()), payload);
-}
-
-/// Initial FNV state for the streaming wire classes, mirroring
-/// snapshot_checksum's two domains: v2 folds the version/kind prefix in
-/// front of the payload, v1 starts at the basis.
+/// Initial FNV state of a section's checksum. v1 checksums cover the payload
+/// alone; v2 folds the header's version and kind fields in front, so a
+/// bit-flip that relabels a v2 file (downgrades its version or swaps its
+/// kind while leaving the payload intact) fails the checksum instead of
+/// gambling on the wrong parser rejecting it.
 std::uint64_t stream_checksum_seed(std::uint32_t version, SnapshotKind kind) {
   if (version < kSnapshotVersion) return kFnv1a64Basis;
   WireWriter prefix;
@@ -79,13 +38,21 @@ std::uint64_t stream_checksum_seed(std::uint32_t version, SnapshotKind kind) {
   return fnv1a64(prefix.bytes());
 }
 
-/// Validates a freshly-opened streaming reader the way read_snapshot
-/// validates a loaded file (known version, known kind) and seeds its
-/// checksum domain. The checksum itself is verified by expect_done() at the
-/// end of the parse — the reader never sees the whole payload at once —
-/// and read_count bounds any allocation a corrupt prefix could request in
-/// the meantime, so corruption still surfaces as ron::Error before a
-/// loaded object escapes.
+/// A writer for one section of `kind` in the current format. Payloads go
+/// to disk a chunk at a time: the big sections (a million-node overlay's
+/// rings, a large labeling) are never materialized in memory.
+WireStreamWriter section_writer(const std::string& path, SnapshotKind kind) {
+  return WireStreamWriter(path, kSnapshotVersion,
+                          static_cast<std::uint32_t>(kind),
+                          stream_checksum_seed(kSnapshotVersion, kind));
+}
+
+/// Validates a freshly-opened reader's header (known version, known kind)
+/// and seeds its checksum domain. The checksum itself is verified by
+/// expect_done() at the end of the parse — the reader never holds the whole
+/// payload — and read_count bounds any allocation a corrupt prefix could
+/// request in the meantime, so corruption still surfaces as ron::Error
+/// before a loaded object escapes.
 SnapshotInfo open_stream_section(WireStreamReader& r,
                                  const std::string& path) {
   const WireStreamReader::Header& h = r.header();
@@ -104,118 +71,36 @@ SnapshotInfo open_stream_section(WireStreamReader& r,
   return info;
 }
 
+/// open_stream_section plus the kind check every typed loader needs; copies
+/// the header fields to `info` when non-null.
 SnapshotInfo open_stream_section_of_kind(WireStreamReader& r,
                                          const std::string& path,
-                                         SnapshotKind want) {
-  SnapshotInfo info = open_stream_section(r, path);
-  RON_CHECK(info.kind == want,
+                                         SnapshotKind want,
+                                         SnapshotInfo* info) {
+  const SnapshotInfo local = open_stream_section(r, path);
+  RON_CHECK(local.kind == want,
             "snapshot: " << path << " holds section kind "
-                         << static_cast<std::uint32_t>(info.kind)
+                         << static_cast<std::uint32_t>(local.kind)
                          << ", expected "
                          << static_cast<std::uint32_t>(want));
-  return info;
-}
-
-void write_snapshot(SnapshotKind kind, const WireWriter& payload,
-                    const std::string& path, std::uint32_t version) {
-  WireWriter header;
-  for (std::uint8_t b : kSnapshotMagic) header.u8(b);
-  header.u32(version);
-  header.u32(static_cast<std::uint32_t>(kind));
-  header.u64(payload.size());
-  header.u64(snapshot_checksum(version, kind, payload.bytes()));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  RON_CHECK(out.good(), "snapshot: cannot open " << path << " for writing");
-  write_stream_bytes(out, header.bytes(), "header");
-  write_stream_bytes(out, payload.bytes(), "payload");
-  out.flush();
-  RON_CHECK(out.good(), "snapshot: short write to " << path);
-}
-
-/// Reads and fully validates the file: magic, known version, known kind,
-/// exact payload length (truncation AND trailing bytes) and checksum.
-/// Returns the whole file's bytes — the payload is the subspan after
-/// kHeaderBytes (payload_view below), kept in place to avoid doubling peak
-/// memory on large snapshots. Fills `info`.
-std::vector<std::uint8_t> read_snapshot(const std::string& path,
-                                        SnapshotInfo& info) {
-  std::ifstream in(path, std::ios::binary);
-  RON_CHECK(in.good(), "snapshot: cannot open " << path);
-  // Single sized read; istreambuf_iterator would go byte-at-a-time, which
-  // matters at serving-snapshot sizes.
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  RON_CHECK(size >= 0, "snapshot: cannot stat " << path);
-  in.seekg(0, std::ios::beg);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) read_stream_bytes(in, bytes, path.c_str());
-  RON_CHECK(bytes.size() >= kHeaderBytes,
-            "snapshot: " << path << " is " << bytes.size()
-                         << " bytes, smaller than the header");
-  RON_CHECK(std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) == 0,
-            "snapshot: " << path << " has wrong magic (not a RON snapshot)");
-  WireReader header(std::span(bytes.data() + sizeof(kSnapshotMagic),
-                              kHeaderBytes - sizeof(kSnapshotMagic)));
-  info.version = header.u32();
-  RON_CHECK(info.version == kSnapshotVersion ||
-                info.version == kSnapshotVersionV1,
-            "snapshot: " << path << " has format version " << info.version
-                         << ", this build reads " << kSnapshotVersionV1
-                         << " and " << kSnapshotVersion);
-  const std::uint32_t kind = header.u32();
-  RON_CHECK(kind_is_known(kind),
-            "snapshot: " << path << " has unknown section kind " << kind);
-  info.kind = static_cast<SnapshotKind>(kind);
-  info.payload_bytes = header.u64();
-  const std::uint64_t want_sum = header.u64();
-  RON_CHECK(bytes.size() - kHeaderBytes == info.payload_bytes,
-            "snapshot: " << path << " payload is "
-                         << bytes.size() - kHeaderBytes
-                         << " bytes, header promises " << info.payload_bytes
-                         << " (truncated or trailing garbage)");
-  info.checksum = snapshot_checksum(
-      info.version, info.kind,
-      std::span<const std::uint8_t>(bytes).subspan(kHeaderBytes));
-  RON_CHECK(info.checksum == want_sum,
-            "snapshot: " << path << " checksum mismatch (corrupt payload)");
-  return bytes;
-}
-
-std::span<const std::uint8_t> payload_view(
-    const std::vector<std::uint8_t>& file) {
-  return std::span<const std::uint8_t>(file).subspan(kHeaderBytes);
-}
-
-std::vector<std::uint8_t> read_snapshot_of_kind(const std::string& path,
-                                                SnapshotKind want,
-                                                SnapshotInfo& info) {
-  std::vector<std::uint8_t> file = read_snapshot(path, info);
-  RON_CHECK(info.kind == want,
-            "snapshot: " << path << " holds section kind "
-                         << static_cast<std::uint32_t>(info.kind)
-                         << ", expected "
-                         << static_cast<std::uint32_t>(want));
-  return file;
+  if (info != nullptr) *info = local;
+  return local;
 }
 
 /// Payload prefix shared by every v2 section: the embedded scenario. v1
 /// sections have no prefix; the loader synthesizes an empty-family spec
 /// (kOracle/kObjectDirectory override it from their legacy metas).
-template <typename Reader>
-ScenarioSpec read_spec_prefix(Reader& r, std::uint32_t version) {
+ScenarioSpec read_spec_prefix(WireStreamReader& r, std::uint32_t version) {
   return version >= kSnapshotVersion ? read_spec(r) : ScenarioSpec{};
 }
 
-template <typename Writer>
-void write_node_list(Writer& w, std::span<const NodeId> xs) {
+void write_node_list(WireStreamWriter& w, std::span<const NodeId> xs) {
   w.u64(xs.size());
   for (NodeId v : xs) w.u32(v);
 }
 
 /// Node list with every id validated against n (kInvalidNode rejected).
-template <typename Reader>
-std::vector<NodeId> read_node_list(Reader& r, std::size_t n,
+std::vector<NodeId> read_node_list(WireStreamReader& r, std::size_t n,
                                    const char* what) {
   const std::uint64_t count = r.read_count(sizeof(NodeId), what);
   std::vector<NodeId> xs;
@@ -238,7 +123,7 @@ int u32_to_int(std::uint32_t v) {
 
 // The labeling payload is shared between the kDistanceLabeling section and
 // the kOracle bundle.
-void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
+void write_labeling_payload(WireStreamWriter& w, const DistanceLabeling& dls) {
   const DistanceCodec& codec = dls.codec();
   w.u32(static_cast<std::uint32_t>(codec.mantissa_bits()));
   w.u32(static_cast<std::uint32_t>(codec.exponent_bits()));
@@ -268,7 +153,7 @@ void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
   }
 }
 
-DistanceLabeling read_labeling_payload(WireReader& r) {
+DistanceLabeling read_labeling_payload(WireStreamReader& r) {
   const int mantissa_bits = u32_to_int(r.u32());
   const int exponent_bits = u32_to_int(r.u32());
   const int min_exp = u32_to_int(r.u32());
@@ -317,19 +202,11 @@ DistanceLabeling read_labeling_payload(WireReader& r) {
 
 // --- legacy (v1) meta blocks ----------------------------------------------
 //
-// Version 1 carried per-kind provenance structs instead of a spec. The
-// loaders translate them into an equivalent ScenarioSpec; the version-gated
-// writers translate back so v1 bytes stay reproducible bit-for-bit.
+// Version 1 carried per-kind provenance structs instead of a spec. This
+// build only reads them: the loaders translate them into an equivalent
+// ScenarioSpec.
 
-void write_oracle_meta_v1(WireWriter& w, const ScenarioSpec& spec,
-                          const std::string& metric_name) {
-  w.str(metric_name);
-  w.u64(spec.n);
-  w.u64(spec.seed);
-  w.f64(spec.delta);
-}
-
-void read_oracle_meta_v1(WireReader& r, ScenarioSpec& spec,
+void read_oracle_meta_v1(WireStreamReader& r, ScenarioSpec& spec,
                          std::string& metric_name) {
   metric_name = r.str();
   spec.family.clear();  // v1 oracle bundles never named their family
@@ -341,16 +218,7 @@ void read_oracle_meta_v1(WireReader& r, ScenarioSpec& spec,
             "snapshot: oracle meta delta " << spec.delta << " outside (0,1)");
 }
 
-template <typename Writer>
-void write_directory_meta_v1(Writer& w, const ScenarioSpec& spec) {
-  w.str(spec.family);
-  w.u64(spec.n);
-  w.u64(spec.seed);
-  w.u64(spec.overlay_seed);
-}
-
-template <typename Reader>
-ScenarioSpec read_directory_meta_v1(Reader& r) {
+ScenarioSpec read_directory_meta_v1(WireStreamReader& r) {
   // v1 directories always rebuilt their overlay with the default ring
   // profile and delta, so the synthesized spec's defaults are exact.
   ScenarioSpec spec;
@@ -366,8 +234,7 @@ ScenarioSpec read_directory_meta_v1(Reader& r) {
   return spec;
 }
 
-template <typename Writer>
-void write_directory_payload(Writer& w, const ObjectDirectory& dir) {
+void write_directory_payload(WireStreamWriter& w, const ObjectDirectory& dir) {
   w.u64(dir.num_objects());
   for (ObjectId obj = 0; obj < dir.num_objects(); ++obj) {
     w.str(dir.name(obj));
@@ -375,8 +242,7 @@ void write_directory_payload(Writer& w, const ObjectDirectory& dir) {
   }
 }
 
-template <typename Reader>
-ObjectDirectory read_directory_payload(Reader& r, std::size_t n) {
+ObjectDirectory read_directory_payload(WireStreamReader& r, std::size_t n) {
   ObjectDirectory dir(n);
   // Every object costs at least a name length + a holder count.
   const std::uint64_t objects =
@@ -400,8 +266,8 @@ ObjectDirectory read_directory_payload(Reader& r, std::size_t n) {
 }  // namespace
 
 SnapshotInfo inspect_snapshot(const std::string& path) {
-  // Streaming: verifies length and checksum in one bounded-memory pass,
-  // so inspecting a multi-GB snapshot never loads it.
+  // Verifies length and checksum in one bounded-memory pass, so inspecting
+  // a multi-GB snapshot never loads it.
   WireStreamReader r(path);
   const SnapshotInfo info = open_stream_section(r, path);
   r.drain();
@@ -411,7 +277,7 @@ SnapshotInfo inspect_snapshot(const std::string& path) {
 
 std::uint32_t peek_snapshot_kind(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  // Layout written by write_snapshot: magic[8], version u32, kind u32.
+  // Layout written by WireStreamWriter: magic[8], version u32, kind u32.
   std::uint8_t hdr[sizeof(kSnapshotMagic) + 2 * sizeof(std::uint32_t)];
   if (read_stream_prefix(in, hdr) != sizeof(hdr)) return 0;
   if (std::memcmp(hdr, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) return 0;
@@ -421,20 +287,10 @@ std::uint32_t peek_snapshot_kind(const std::string& path) {
 }
 
 void save_rings(const RingsOfNeighbors& rings, const std::string& path,
-                const ScenarioSpec& spec, std::uint32_t version) {
-  check_writable_version(version);
+                const ScenarioSpec& spec) {
   check_spec_n(spec, rings.n(), "rings");
-  // Streaming writer: the rings section is the big one (a million-node
-  // overlay is multiple GB), so the payload goes to disk a chunk at a time
-  // instead of being materialized.
-  WireStreamWriter w(path, version,
-                     static_cast<std::uint32_t>(SnapshotKind::kRings),
-                     stream_checksum_seed(version, SnapshotKind::kRings));
-  if (version >= kSnapshotVersion) {
-    write_spec(w, spec);
-  } else {
-    check_v1_representable(spec, false, false, false, "rings");
-  }
+  WireStreamWriter w = section_writer(path, SnapshotKind::kRings);
+  write_spec(w, spec);
   w.u64(rings.n());
   // Visitation accessors instead of the rings() span, so sealed (compact)
   // and mutable containers write byte-identical snapshots.
@@ -455,9 +311,8 @@ void save_rings(const RingsOfNeighbors& rings, const std::string& path,
 RingsOfNeighbors load_rings(const std::string& path, ScenarioSpec* spec,
                             SnapshotInfo* info) {
   WireStreamReader r(path);
-  const SnapshotInfo local =
-      open_stream_section_of_kind(r, path, SnapshotKind::kRings);
-  if (info != nullptr) *info = local;
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kRings, info);
   const ScenarioSpec embedded = read_spec_prefix(r, local.version);
   if (spec != nullptr) *spec = embedded;
   const std::uint64_t n = r.read_count(sizeof(std::uint64_t), "node");
@@ -482,20 +337,13 @@ RingsOfNeighbors load_rings(const std::string& path, ScenarioSpec* spec,
 }
 
 void save_neighbor_system(const NeighborSystem& sys, const std::string& path,
-                          const ScenarioSpec& spec, std::uint32_t version) {
-  check_writable_version(version);
+                          const ScenarioSpec& spec) {
   const std::size_t n = sys.prox().n();
   check_spec_n(spec, n, "neighbor system");
   const int levels = sys.num_levels();
   const int zscales = sys.num_z_scales();
-  WireWriter w;
-  if (version >= kSnapshotVersion) {
-    write_spec(w, spec);
-  } else {
-    // delta lives in the neighbor-system payload itself, so only the spec's
-    // other fields would be lost.
-    check_v1_representable(spec, false, true, false, "neighbor system");
-  }
+  WireStreamWriter w = section_writer(path, SnapshotKind::kNeighborSystem);
+  write_spec(w, spec);
   w.u64(n);
   w.f64(sys.delta());
   w.f64(sys.profile().y_ball_factor);
@@ -518,17 +366,15 @@ void save_neighbor_system(const NeighborSystem& sys, const std::string& path,
     write_node_list(w, sys.host_set(u));
     write_node_list(w, sys.virtual_set(u));
   }
-  write_snapshot(SnapshotKind::kNeighborSystem, w, path, version);
+  w.finish();
 }
 
 NeighborSystemSnapshot load_neighbor_system(const std::string& path,
                                             ScenarioSpec* spec,
                                             SnapshotInfo* info) {
-  SnapshotInfo local;
-  const std::vector<std::uint8_t> file =
-      read_snapshot_of_kind(path, SnapshotKind::kNeighborSystem, local);
-  if (info != nullptr) *info = local;
-  WireReader r(payload_view(file));
+  WireStreamReader r(path);
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kNeighborSystem, info);
   const ScenarioSpec embedded = read_spec_prefix(r, local.version);
   if (spec != nullptr) *spec = embedded;
   NeighborSystemSnapshot s;
@@ -588,26 +434,19 @@ NeighborSystemSnapshot load_neighbor_system(const std::string& path,
 }
 
 void save_labeling(const DistanceLabeling& dls, const std::string& path,
-                   const ScenarioSpec& spec, std::uint32_t version) {
-  check_writable_version(version);
+                   const ScenarioSpec& spec) {
   check_spec_n(spec, dls.n(), "labeling");
-  WireWriter w;
-  if (version >= kSnapshotVersion) {
-    write_spec(w, spec);
-  } else {
-    check_v1_representable(spec, false, false, false, "labeling");
-  }
+  WireStreamWriter w = section_writer(path, SnapshotKind::kDistanceLabeling);
+  write_spec(w, spec);
   write_labeling_payload(w, dls);
-  write_snapshot(SnapshotKind::kDistanceLabeling, w, path, version);
+  w.finish();
 }
 
 DistanceLabeling load_labeling(const std::string& path, ScenarioSpec* spec,
                                SnapshotInfo* info) {
-  SnapshotInfo local;
-  const std::vector<std::uint8_t> file =
-      read_snapshot_of_kind(path, SnapshotKind::kDistanceLabeling, local);
-  if (info != nullptr) *info = local;
-  WireReader r(payload_view(file));
+  WireStreamReader r(path);
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kDistanceLabeling, info);
   const ScenarioSpec embedded = read_spec_prefix(r, local.version);
   if (spec != nullptr) *spec = embedded;
   DistanceLabeling dls = read_labeling_payload(r);
@@ -617,29 +456,20 @@ DistanceLabeling load_labeling(const std::string& path, ScenarioSpec* spec,
 }
 
 void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
-                 const DistanceLabeling& dls, const std::string& path,
-                 std::uint32_t version) {
-  check_writable_version(version);
+                 const DistanceLabeling& dls, const std::string& path) {
   RON_CHECK(spec.n == dls.n(),
             "save_oracle: spec n " << spec.n << " != labeling n " << dls.n());
-  WireWriter w;
-  if (version >= kSnapshotVersion) {
-    write_spec(w, spec);
-    w.str(metric_name);
-  } else {
-    check_v1_representable(spec, false, true, false, "oracle");
-    write_oracle_meta_v1(w, spec, metric_name);
-  }
+  WireStreamWriter w = section_writer(path, SnapshotKind::kOracle);
+  write_spec(w, spec);
+  w.str(metric_name);
   write_labeling_payload(w, dls);
-  write_snapshot(SnapshotKind::kOracle, w, path, version);
+  w.finish();
 }
 
 LoadedOracle load_oracle(const std::string& path, SnapshotInfo* info) {
-  SnapshotInfo local;
-  const std::vector<std::uint8_t> file =
-      read_snapshot_of_kind(path, SnapshotKind::kOracle, local);
-  if (info != nullptr) *info = local;
-  WireReader r(payload_view(file));
+  WireStreamReader r(path);
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kOracle, info);
   ScenarioSpec spec;
   std::string metric_name;
   if (local.version >= kSnapshotVersion) {
@@ -658,80 +488,22 @@ LoadedOracle load_oracle(const std::string& path, SnapshotInfo* info) {
 }
 
 void save_directory(const ScenarioSpec& spec, const ObjectDirectory& dir,
-                    const std::string& path, std::uint32_t version) {
-  check_writable_version(version);
+                    const std::string& path) {
   RON_CHECK(!spec.family.empty(),
             "save_directory: the scenario spec must name a metric family "
             "(the stored recipe is what locate rebuilds from)");
   RON_CHECK(spec.n == dir.n(), "save_directory: spec n " << spec.n
                                    << " != directory n " << dir.n());
-  // Streaming: a directory over a million-node overlay can be large too
-  // (names + holder lists), and the serving path writes it alongside the
-  // rings section.
-  WireStreamWriter w(
-      path, version,
-      static_cast<std::uint32_t>(SnapshotKind::kObjectDirectory),
-      stream_checksum_seed(version, SnapshotKind::kObjectDirectory));
-  if (version >= kSnapshotVersion) {
-    write_spec(w, spec);
-  } else {
-    check_v1_representable(spec, true, false, true, "directory");
-    write_directory_meta_v1(w, spec);
-  }
+  WireStreamWriter w = section_writer(path, SnapshotKind::kObjectDirectory);
+  write_spec(w, spec);
   write_directory_payload(w, dir);
   w.finish();
 }
 
-void save_churn_bundle(const ScenarioSpec& spec,
-                       const ObjectDirectory& initial,
-                       const ChurnTrace& trace, const std::string& path,
-                       std::uint32_t version) {
-  // v2-only by design: a churn bundle without an embedded recipe could not
-  // be replayed, so there is no legacy encoding to gate down to.
-  RON_CHECK(version == kSnapshotVersion,
-            "snapshot: churn bundles require format version "
-                << kSnapshotVersion);
-  RON_CHECK(!spec.family.empty(),
-            "save_churn_bundle: the scenario spec must name a metric family "
-            "(the stored recipe is what replay rebuilds from)");
-  RON_CHECK(spec.n == initial.n(), "save_churn_bundle: spec n "
-                                       << spec.n << " != directory n "
-                                       << initial.n());
-  trace.validate(initial.n());
-  WireWriter w;
-  write_spec(w, spec);
-  write_directory_payload(w, initial);
-  write_trace_payload(w, trace);
-  write_snapshot(SnapshotKind::kChurnBundle, w, path, version);
-}
-
-LoadedChurnBundle load_churn_bundle(const std::string& path,
-                                    SnapshotInfo* info) {
-  SnapshotInfo local;
-  const std::vector<std::uint8_t> file =
-      read_snapshot_of_kind(path, SnapshotKind::kChurnBundle, local);
-  if (info != nullptr) *info = local;
-  RON_CHECK(local.version >= kSnapshotVersion,
-            "snapshot: churn bundle labeled v" << local.version);
-  WireReader r(payload_view(file));
-  ScenarioSpec spec = read_spec(r);
-  RON_CHECK(!spec.family.empty(),
-            "snapshot: churn bundle recipe is missing its metric family");
-  RON_CHECK(spec.n <= kInvalidNode,
-            "snapshot: churn bundle node count " << spec.n);
-  const std::size_t n = static_cast<std::size_t>(spec.n);
-  ObjectDirectory initial = read_directory_payload(r, n);
-  ChurnTrace trace = read_trace_payload(r, n);
-  r.expect_done();
-  return LoadedChurnBundle{std::move(spec), std::move(initial),
-                           std::move(trace)};
-}
-
 LoadedDirectory load_directory(const std::string& path, SnapshotInfo* info) {
   WireStreamReader r(path);
-  const SnapshotInfo local =
-      open_stream_section_of_kind(r, path, SnapshotKind::kObjectDirectory);
-  if (info != nullptr) *info = local;
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kObjectDirectory, info);
   ScenarioSpec spec = local.version >= kSnapshotVersion
                           ? read_spec(r)
                           : read_directory_meta_v1(r);
@@ -743,6 +515,45 @@ LoadedDirectory load_directory(const std::string& path, SnapshotInfo* info) {
       read_directory_payload(r, static_cast<std::size_t>(spec.n));
   r.expect_done();
   return LoadedDirectory{std::move(spec), std::move(dir)};
+}
+
+void save_churn_bundle(const ScenarioSpec& spec,
+                       const ObjectDirectory& initial,
+                       const ChurnTrace& trace, const std::string& path) {
+  RON_CHECK(!spec.family.empty(),
+            "save_churn_bundle: the scenario spec must name a metric family "
+            "(the stored recipe is what replay rebuilds from)");
+  RON_CHECK(spec.n == initial.n(), "save_churn_bundle: spec n "
+                                       << spec.n << " != directory n "
+                                       << initial.n());
+  trace.validate(initial.n());
+  WireStreamWriter w = section_writer(path, SnapshotKind::kChurnBundle);
+  write_spec(w, spec);
+  write_directory_payload(w, initial);
+  write_trace_payload(w, trace);
+  w.finish();
+}
+
+LoadedChurnBundle load_churn_bundle(const std::string& path,
+                                    SnapshotInfo* info) {
+  WireStreamReader r(path);
+  const SnapshotInfo local = open_stream_section_of_kind(
+      r, path, SnapshotKind::kChurnBundle, info);
+  // Churn bundles exist only in v2: without an embedded recipe a trace
+  // could not be replayed.
+  RON_CHECK(local.version >= kSnapshotVersion,
+            "snapshot: churn bundle labeled v" << local.version);
+  ScenarioSpec spec = read_spec(r);
+  RON_CHECK(!spec.family.empty(),
+            "snapshot: churn bundle recipe is missing its metric family");
+  RON_CHECK(spec.n <= kInvalidNode,
+            "snapshot: churn bundle node count " << spec.n);
+  const std::size_t n = static_cast<std::size_t>(spec.n);
+  ObjectDirectory initial = read_directory_payload(r, n);
+  ChurnTrace trace = read_trace_payload(r, n);
+  r.expect_done();
+  return LoadedChurnBundle{std::move(spec), std::move(initial),
+                           std::move(trace)};
 }
 
 }  // namespace ron

@@ -12,17 +12,23 @@
 // version and kind header fields, so flipping a v2 file's version or kind
 // label fails the checksum instead of reaching the wrong parser.
 //
-// Format version 2 (current): every section kind embeds the ScenarioSpec
-// the artifact was built from as a payload prefix, so any snapshot is a
-// self-describing recipe — `ron_oracle info` prints the spec back and
-// `locate` rebuilds the exact metric and overlay from it. Version 1 files
-// (which carried either no recipe or the old OracleMeta/LocationMeta
-// structs) still load: the loaders synthesize an equivalent spec, and every
-// save function takes a version gate so v1 bytes can be reproduced
-// bit-identically (the committed golden fixtures pin both formats).
+// Every kind is written and read through wire.h's streaming classes, one
+// chunk at a time, so neither side ever holds the whole payload. A save
+// streams into a sibling temporary file and renames it over `path` only once
+// the section is complete: a save that throws leaves any snapshot already
+// at `path` as it was.
 //
-// Loads validate magic, version, kind, exact length and checksum before
-// parsing, and the parse itself bounds-checks every count and index, so a
+// Format version 2 (the only one written): every section kind embeds the
+// ScenarioSpec the artifact was built from as a payload prefix, so any
+// snapshot is a self-describing recipe — `ron_oracle info` prints the spec
+// back and `locate` rebuilds the exact metric and overlay from it. Version 1
+// files (which carried either no recipe or the old OracleMeta/LocationMeta
+// structs) still load: the loaders synthesize an equivalent spec. Committed
+// golden fixtures pin both formats.
+//
+// Loads validate magic, version, kind and exact length before parsing. The
+// parse bounds-checks every count and index, and the checksum is verified
+// at the end of the parse, before the loaded object escapes, so a
 // truncated, bit-flipped or mislabeled file throws ron::Error instead of
 // corrupting the serving process.
 //
@@ -50,7 +56,7 @@
 namespace ron {
 
 /// Current write format (spec-carrying) and the legacy format the loaders
-/// still accept and the writers can still emit through their version gate.
+/// still accept.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
 
@@ -83,12 +89,8 @@ SnapshotInfo inspect_snapshot(const std::string& path);
 std::uint32_t peek_snapshot_kind(const std::string& path);
 
 // Save functions: `spec` is the scenario the artifact was built from and is
-// embedded in v2 payloads. Writing with version = kSnapshotVersionV1
-// reproduces the legacy bytes (the spec is reduced to the old meta fields
-// for the oracle/directory kinds and dropped for the rest); the gate throws
-// if the spec holds information the v1 format cannot carry — a downgrade
-// never silently loses recipe fields. When the spec names a family, spec.n
-// must match the artifact's node count.
+// embedded in the payload. When the spec names a family, spec.n must match
+// the artifact's node count.
 //
 // Load functions: `spec`/`info` out-parameters (when non-null) receive the
 // embedded or synthesized scenario and the validated header fields. A v1
@@ -98,8 +100,7 @@ std::uint32_t peek_snapshot_kind(const std::string& path);
 // --- RingsOfNeighbors ------------------------------------------------------
 
 void save_rings(const RingsOfNeighbors& rings, const std::string& path,
-                const ScenarioSpec& spec = {},
-                std::uint32_t version = kSnapshotVersion);
+                const ScenarioSpec& spec = {});
 RingsOfNeighbors load_rings(const std::string& path,
                             ScenarioSpec* spec = nullptr,
                             SnapshotInfo* info = nullptr);
@@ -175,8 +176,7 @@ class NeighborSystemSnapshot {
 };
 
 void save_neighbor_system(const NeighborSystem& sys, const std::string& path,
-                          const ScenarioSpec& spec = {},
-                          std::uint32_t version = kSnapshotVersion);
+                          const ScenarioSpec& spec = {});
 NeighborSystemSnapshot load_neighbor_system(const std::string& path,
                                             ScenarioSpec* spec = nullptr,
                                             SnapshotInfo* info = nullptr);
@@ -184,8 +184,7 @@ NeighborSystemSnapshot load_neighbor_system(const std::string& path,
 // --- DistanceLabeling ------------------------------------------------------
 
 void save_labeling(const DistanceLabeling& dls, const std::string& path,
-                   const ScenarioSpec& spec = {},
-                   std::uint32_t version = kSnapshotVersion);
+                   const ScenarioSpec& spec = {});
 DistanceLabeling load_labeling(const std::string& path,
                                ScenarioSpec* spec = nullptr,
                                SnapshotInfo* info = nullptr);
@@ -204,8 +203,7 @@ struct LoadedOracle {
 
 /// spec.n must equal dls.n().
 void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
-                 const DistanceLabeling& dls, const std::string& path,
-                 std::uint32_t version = kSnapshotVersion);
+                 const DistanceLabeling& dls, const std::string& path);
 /// `info`, when non-null, receives the validated header fields — a combined
 /// inspect+load in one read of the file.
 LoadedOracle load_oracle(const std::string& path,
@@ -224,8 +222,7 @@ struct LoadedDirectory {
 /// spec.n must equal directory.n() and spec.family must be non-empty (a
 /// directory without a rebuildable recipe cannot serve locates).
 void save_directory(const ScenarioSpec& spec, const ObjectDirectory& dir,
-                    const std::string& path,
-                    std::uint32_t version = kSnapshotVersion);
+                    const std::string& path);
 LoadedDirectory load_directory(const std::string& path,
                                SnapshotInfo* info = nullptr);
 
@@ -245,12 +242,11 @@ struct LoadedChurnBundle {
 };
 
 /// spec.family must be non-empty and spec.n must equal initial.n(). Churn
-/// bundles are v2-only: the legacy format has no spec and therefore no
+/// bundles exist only in v2: the legacy format has no spec and therefore no
 /// replayable recipe.
 void save_churn_bundle(const ScenarioSpec& spec,
                        const ObjectDirectory& initial,
-                       const ChurnTrace& trace, const std::string& path,
-                       std::uint32_t version = kSnapshotVersion);
+                       const ChurnTrace& trace, const std::string& path);
 LoadedChurnBundle load_churn_bundle(const std::string& path,
                                     SnapshotInfo* info = nullptr);
 

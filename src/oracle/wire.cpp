@@ -1,7 +1,13 @@
 #include "oracle/wire.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <istream>
 #include <ostream>
 
@@ -54,13 +60,35 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
 
 // --- streaming writer -----------------------------------------------------
 
+namespace {
+
+/// A sibling of `path` that no other writer, in this process or another,
+/// streams into at the same time. Being in the same directory keeps the
+/// final rename on one filesystem, where it replaces `path` atomically.
+std::string temp_path_for(const std::string& path) {
+  static std::atomic<std::uint64_t> next{0};
+  return path + ".tmp" + std::to_string(::getpid()) + "." +
+         std::to_string(next.fetch_add(1));
+}
+
+}  // namespace
+
 WireStreamWriter::WireStreamWriter(const std::string& path,
                                    std::uint32_t version, std::uint32_t kind,
                                    std::uint64_t checksum_seed)
-    : path_(path),
-      out_(path, std::ios::binary | std::ios::trunc),
-      sum_(checksum_seed) {
-  RON_CHECK(out_.good(), "snapshot: cannot open " << path_ << " for writing");
+    : path_(path), tmp_path_(temp_path_for(path)), sum_(checksum_seed) {
+  // finish() renames over `path`, which would replace a device or a pipe
+  // (say /dev/null) with a regular file.
+  std::error_code ec;  // an unreadable status is left to the open below
+  const std::filesystem::file_status target =
+      std::filesystem::status(path_, ec);
+  RON_CHECK(!std::filesystem::exists(target) ||
+                std::filesystem::is_regular_file(target),
+            "snapshot: " << path_ << " exists and is not a regular file");
+  out_.open(tmp_path_, std::ios::binary | std::ios::trunc);
+  RON_CHECK(out_.good(), "snapshot: cannot open " << path_
+                                                  << " for writing (temporary "
+                                                  << tmp_path_ << ")");
   WireWriter header;
   for (std::uint8_t b : kSnapshotMagic) header.u8(b);
   header.u32(version);
@@ -71,7 +99,11 @@ WireStreamWriter::WireStreamWriter(const std::string& path,
   chunk_.reserve(kStreamChunkBytes + sizeof(std::uint64_t));
 }
 
-WireStreamWriter::~WireStreamWriter() = default;
+WireStreamWriter::~WireStreamWriter() {
+  if (finished_) return;
+  out_.close();
+  std::remove(tmp_path_.c_str());
+}
 
 void WireStreamWriter::flush_chunk() {
   if (chunk_.empty()) return;
@@ -94,8 +126,12 @@ void WireStreamWriter::finish() {
                              << path_);
   write_stream_bytes(out_, tail.bytes(), "header patch");
   out_.flush();
-  RON_CHECK(out_.good(), "snapshot: short write to " << path_);
+  RON_CHECK(out_.good(), "snapshot: short write to " << tmp_path_);
   out_.close();
+  RON_CHECK(!out_.fail(), "snapshot: cannot close " << tmp_path_);
+  RON_CHECK(std::rename(tmp_path_.c_str(), path_.c_str()) == 0,
+            "snapshot: cannot rename " << tmp_path_ << " to " << path_
+                                       << ": " << std::strerror(errno));
   finished_ = true;
 }
 

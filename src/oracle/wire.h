@@ -2,9 +2,11 @@
 //
 // Snapshots must load safely from untrusted bytes: a truncated download, a
 // bit-flipped disk block or a file of the wrong kind has to surface as
-// ron::Error, never as UB or an unbounded allocation. WireWriter builds a
-// payload in memory; WireReader is a bounds-checked cursor over loaded bytes
-// — every read validates the remaining length first, and every count that
+// ron::Error, never as UB or an unbounded allocation. WireStreamWriter and
+// WireStreamReader carry every snapshot section to and from disk a chunk at
+// a time. WireWriter builds a small body in memory (a served frame, a
+// simulator message); WireReader is a bounds-checked cursor over such bytes.
+// Every read validates the remaining length first, and every count that
 // sizes an allocation is validated against the bytes that could possibly
 // back it (see read_count).
 //
@@ -47,19 +49,18 @@ void read_stream_bytes(std::istream& in, std::span<std::uint8_t> bytes,
 /// short foreign file.
 std::size_t read_stream_prefix(std::istream& in, std::span<std::uint8_t> bytes);
 
-/// FNV-1a 64-bit checksum (the snapshot header's corruption detector; this
-/// guards against accidental damage, not adversaries). The _continue form
-/// chains over multiple spans: fnv1a64(a+b) ==
-/// fnv1a64_continue(fnv1a64(a), b) — the snapshot layer uses it to fold the
-/// header's version/kind fields into the v2 checksum domain without
-/// materializing a concatenated buffer.
-/// Snapshot container framing, shared by the in-memory path (snapshot.cpp)
-/// and the streaming classes below: magic[8] + u32 version + u32 kind +
-/// u64 payload length + u64 checksum, then the payload.
+/// Snapshot container framing, written and validated by the streaming
+/// classes below: magic[8] + u32 version + u32 kind + u64 payload length +
+/// u64 checksum, then the payload.
 inline constexpr std::uint8_t kSnapshotMagic[8] = {'R', 'O', 'N', 'S',
                                                    'N', 'A', 'P', '\n'};
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 
+/// FNV-1a 64-bit checksum (the snapshot header's corruption detector; this
+/// guards against accidental damage, not adversaries). The _continue form
+/// chains over multiple spans: fnv1a64(a+b) ==
+/// fnv1a64_continue(fnv1a64(a), b) — the streaming classes fold each chunk
+/// into a running state this way.
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 std::uint64_t fnv1a64_continue(std::uint64_t state,
@@ -92,20 +93,22 @@ class WireWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Chunked streaming counterpart of WireWriter for large sections (the
-/// million-node rings/directory snapshots): payload bytes are folded into a
-/// running FNV-1a state and flushed to disk kStreamChunkBytes at a time, so
-/// peak memory is one chunk instead of the whole payload. The snapshot
-/// header is written up front with placeholder length/checksum fields;
-/// finish() seeks back and patches them. The primitive API mirrors
-/// WireWriter, so payload helpers can be written once as templates.
+/// Chunked streaming counterpart of WireWriter, the writer of every snapshot
+/// section: payload bytes are folded into a running FNV-1a state and flushed
+/// to disk kStreamChunkBytes at a time, so peak memory is one chunk instead
+/// of the whole payload. The bytes go to a sibling temporary file of `path`.
+/// The snapshot header is written up front with placeholder length/checksum
+/// fields; finish() seeks back, patches them and renames the temporary file
+/// over `path`. The primitive API mirrors WireWriter, so helpers shared
+/// with in-memory bodies (write_spec, write_trace_payload) are written once
+/// as templates.
 inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 
 class WireStreamWriter {
  public:
-  /// Opens `path`, writes the magic/version/kind header with placeholder
-  /// length and checksum. `checksum_seed` is the initial FNV state (the
-  /// v2 domain folds the version/kind prefix in; v1 starts at the basis).
+  /// Opens a temporary file next to `path` and writes the magic/version/kind
+  /// header with placeholder length and checksum. `checksum_seed` is the
+  /// initial FNV state (the v2 domain folds the version/kind prefix in).
   WireStreamWriter(const std::string& path, std::uint32_t version,
                    std::uint32_t kind, std::uint64_t checksum_seed);
   ~WireStreamWriter();
@@ -130,10 +133,10 @@ class WireStreamWriter {
   std::uint64_t size() const { return total_ + chunk_.size(); }
 
   /// Flushes the tail chunk, patches the header's payload length and
-  /// checksum, and closes the file. Must be called exactly once for a
-  /// valid snapshot. Destroying an unfinished writer (the exception path)
-  /// leaves the placeholder header in place — an unloadable file, which is
-  /// the safe failure mode.
+  /// checksum, closes the file and renames it over `path`. Must be called
+  /// exactly once for a valid snapshot. Destroying an unfinished writer
+  /// (the exception path) removes the temporary file, so whatever was at
+  /// `path` before the save is left untouched.
   void finish();
 
  private:
@@ -147,6 +150,7 @@ class WireStreamWriter {
   }
 
   std::string path_;
+  std::string tmp_path_;  // where the bytes go until finish() renames them
   std::ofstream out_;
   std::vector<std::uint8_t> chunk_;
   std::uint64_t total_ = 0;  // payload bytes already flushed
@@ -219,16 +223,16 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// Bounded-memory streaming counterpart of WireReader: serves the same
-/// primitive API from a sliding window over the file, so loading a
-/// million-node section holds one chunk plus the data structure being
-/// built, never the whole payload. The running checksum is folded over
-/// bytes as they are buffered; expect_done() — which every loader must
-/// reach — verifies full consumption AND the checksum, so a corrupt tail
-/// still surfaces as ron::Error before the loaded object is returned.
-/// The construction-time validation mirrors read_snapshot: magic, known
-/// version, plausible kind, and exact file length against the header's
-/// payload promise.
+/// Bounded-memory streaming counterpart of WireReader, the reader of every
+/// snapshot section: serves the same primitive API from a sliding window
+/// over the file, so loading a million-node section holds one chunk plus
+/// the data structure being built, never the whole payload. The running
+/// checksum is folded over bytes as they are buffered; expect_done() —
+/// which every loader must reach — verifies full consumption AND the
+/// checksum, so a corrupt tail still surfaces as ron::Error before the
+/// loaded object is returned. Construction validates the magic and the
+/// exact file length against the header's payload promise; the snapshot
+/// layer checks version and kind from header().
 class WireStreamReader {
  public:
   struct Header {

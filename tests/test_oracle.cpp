@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -58,6 +59,19 @@ std::vector<char> slurp(const std::string& path) {
 void dump(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Expects fn() to throw ron::Error whose message contains `token`.
+template <typename Fn>
+void expect_error_with(const std::string& token, Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ron::Error thrown (wanted one naming '" << token
+                  << "')";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+        << "error message does not name '" << token << "': " << e.what();
+  }
 }
 
 // --- wire primitives -------------------------------------------------------
@@ -137,6 +151,11 @@ TEST(Wire, StreamPrefixImmediateErrorThrows) {
 }
 
 // --- fixtures --------------------------------------------------------------
+
+/// A committed fixture under tests/data/ (see the golden section below).
+std::string golden_path(const std::string& file) {
+  return std::string(RON_TEST_DATA_DIR) + "/" + file;
+}
 
 RingsOfNeighbors make_rings(std::size_t n) {
   RingsOfNeighbors rings(n);
@@ -355,27 +374,6 @@ TEST(SnapshotOracle, BundleRoundTripsSpecAndLabels) {
   }
 }
 
-TEST(SnapshotOracle, V1WriterGateRoundTripsWithoutFamily) {
-  // The v1 format cannot carry a family; the gate accepts only a
-  // family-less spec (see RefusesLossyV1Saves), and writing through it
-  // preserves n/seed/delta and the display name, with the file actually
-  // version 1 on disk.
-  LabelingFixture fx;
-  TempFile file("oracle_v1");
-  ScenarioSpec spec;  // no family: exactly what a v1 oracle can express
-  spec.n = fx.dls.n();
-  spec.seed = 23;
-  save_oracle(spec, "euclid-48", fx.dls, file.path(), kSnapshotVersionV1);
-  SnapshotInfo info;
-  const LoadedOracle loaded = load_oracle(file.path(), &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_TRUE(loaded.spec.family.empty());
-  EXPECT_EQ(loaded.spec.n, fx.dls.n());
-  EXPECT_EQ(loaded.spec.seed, 23u);
-  EXPECT_EQ(loaded.spec.delta, 0.25);
-  EXPECT_EQ(loaded.metric_name, "euclid-48");
-}
-
 TEST(SnapshotChurnBundle, RoundTripsSpecDirectoryAndTrace) {
   TempFile file("churn_bundle");
   ScenarioSpec spec =
@@ -409,10 +407,21 @@ TEST(SnapshotChurnBundle, RefusesV1AndRecipeFreeSaves) {
   TempFile file("churn_bundle_bad");
   const ScenarioSpec spec =
       ScenarioSpec::parse("metric=geoline,n=32,seed=3");
-  // v1 has no spec, hence no replayable recipe: the gate must refuse.
-  EXPECT_THROW(save_churn_bundle(spec, make_directory(32), make_trace(),
-                                 file.path(), kSnapshotVersionV1),
-               Error);
+  // v1 has no spec, hence no replayable recipe. Nothing writes a v1 bundle
+  // any more, so forge one — version field 1, valid v1 checksum over the
+  // payload alone — and the loader must still refuse it.
+  save_churn_bundle(spec, make_directory(32), make_trace(), file.path());
+  std::vector<char> bytes = slurp(file.path());
+  bytes[8] = 1;  // version field follows the 8-byte magic
+  std::uint64_t sum =
+      fnv1a64(std::vector<std::uint8_t>(bytes.begin() + kSnapshotHeaderBytes,
+                                        bytes.end()));
+  for (std::size_t i = 0; i < 8; ++i, sum >>= 8) {  // the header's last u64
+    bytes[kSnapshotHeaderBytes - 8 + i] = static_cast<char>(sum & 0xff);
+  }
+  dump(file.path(), bytes);
+  EXPECT_EQ(inspect_snapshot(file.path()).version, kSnapshotVersionV1);
+  expect_error_with("labeled v1", [&] { load_churn_bundle(file.path()); });
   // And a family-less spec cannot rebuild anything either.
   EXPECT_THROW(save_churn_bundle(ScenarioSpec{}, make_directory(32),
                                  make_trace(), file.path()),
@@ -459,51 +468,6 @@ TEST(SnapshotDirectory, ZeroHolderObjectsRoundTripBitIdentically) {
   TempFile resaved("zero_holder_resave");
   save_directory(loaded.spec, loaded.directory, resaved.path());
   EXPECT_EQ(slurp(file.path()), slurp(resaved.path()));
-}
-
-TEST(SnapshotSpec, RefusesLossyV1Saves) {
-  // The v1 writer gate must throw — not silently drop — when the spec
-  // carries fields the legacy format cannot represent. A dropped ring
-  // profile would make a downgraded directory's locate rebuild the wrong
-  // overlay with no error anywhere.
-  LabelingFixture fx;
-  TempFile file("v1_lossy");
-  // rings/labeling v1 carry no recipe at all: any named family is loss.
-  EXPECT_THROW(save_rings(make_rings(48), file.path(), fixture_spec(),
-                          kSnapshotVersionV1),
-               Error);
-  EXPECT_THROW(save_labeling(fx.dls, file.path(), fixture_spec(),
-                             kSnapshotVersionV1),
-               Error);
-  // oracle v1 keeps n/seed/delta but not the family.
-  EXPECT_THROW(save_oracle(fixture_spec(), "euclid-48", fx.dls, file.path(),
-                           kSnapshotVersionV1),
-               Error);
-  // directory v1 keeps family/n/seed/overlay_seed but not the ring profile
-  // or family params.
-  ScenarioSpec foil =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,with_x=0");
-  EXPECT_THROW(
-      save_directory(foil, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  ScenarioSpec with_param =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,base=1.25");
-  EXPECT_THROW(
-      save_directory(with_param, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  // ...and not the churn clause either.
-  ScenarioSpec with_churn =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,churn=10");
-  EXPECT_THROW(
-      save_directory(with_churn, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  // ...while the representable subset still writes v1 bytes fine.
-  save_directory(ScenarioSpec::parse("metric=geoline,n=32,seed=3"),
-                 make_directory(32), file.path(), kSnapshotVersionV1);
-  EXPECT_EQ(inspect_snapshot(file.path()).version, kSnapshotVersionV1);
 }
 
 TEST(SnapshotSpec, EmbeddedSpecComesBackFromEveryKind) {
@@ -556,7 +520,8 @@ TEST(SnapshotSpec, MismatchedSpecNRejectedOnSave) {
 /// serving path would use for it.
 struct FuzzTarget {
   const char* name;
-  std::function<void(const std::string&)> save;
+  ScenarioSpec spec;  // what save embeds
+  std::function<void(const ScenarioSpec&, const std::string&)> save;
   std::function<void(const std::string&)> load;
 };
 
@@ -568,36 +533,55 @@ std::vector<FuzzTarget> fuzz_targets(const LabelingFixture& fx) {
   const ScenarioSpec spec32 =
       ScenarioSpec::parse("metric=geoline,n=32,seed=3,overlay_seed=7");
   return {
-      {"rings",
-       [spec24](const std::string& p) {
-         save_rings(make_rings(24), p, spec24);
+      {"rings", spec24,
+       [](const ScenarioSpec& s, const std::string& p) {
+         save_rings(make_rings(24), p, s);
        },
        [](const std::string& p) { load_rings(p); }},
-      {"neighbor_system",
-       [&fx](const std::string& p) {
-         save_neighbor_system(fx.sys, p, fixture_spec());
+      {"neighbor_system", fixture_spec(),
+       [&fx](const ScenarioSpec& s, const std::string& p) {
+         save_neighbor_system(fx.sys, p, s);
        },
        [](const std::string& p) { load_neighbor_system(p); }},
-      {"labeling",
-       [&fx](const std::string& p) {
-         save_labeling(fx.dls, p, fixture_spec());
+      {"labeling", fixture_spec(),
+       [&fx](const ScenarioSpec& s, const std::string& p) {
+         save_labeling(fx.dls, p, s);
        },
        [](const std::string& p) { load_labeling(p); }},
-      {"oracle",
-       [&fx](const std::string& p) {
-         save_oracle(fixture_spec(), "euclid-48", fx.dls, p);
+      {"oracle", fixture_spec(),
+       [&fx](const ScenarioSpec& s, const std::string& p) {
+         save_oracle(s, "euclid-48", fx.dls, p);
        },
        [](const std::string& p) { load_oracle(p); }},
-      {"directory",
-       [spec32](const std::string& p) {
-         save_directory(spec32, make_directory(32), p);
+      {"directory", spec32,
+       [](const ScenarioSpec& s, const std::string& p) {
+         save_directory(s, make_directory(32), p);
        },
        [](const std::string& p) { load_directory(p); }},
-      {"churn_bundle",
-       [spec32](const std::string& p) {
-         save_churn_bundle(spec32, make_directory(32), make_trace(), p);
+      {"churn_bundle", spec32,
+       [](const ScenarioSpec& s, const std::string& p) {
+         save_churn_bundle(s, make_directory(32), make_trace(), p);
        },
        [](const std::string& p) { load_churn_bundle(p); }},
+  };
+}
+
+/// Load-only targets: the committed v1 fixtures, which this build can read
+/// but no longer write, so the legacy parse paths (no spec prefix, the old
+/// meta blocks, the payload-only checksum domain) are fuzzed too.
+std::vector<FuzzTarget> v1_fixture_targets() {
+  const auto fixture = [](const char* file) {
+    return [file](const ScenarioSpec&, const std::string& p) {
+      dump(p, slurp(golden_path(file)));
+    };
+  };
+  return {
+      {"rings_v1", {}, fixture("golden_rings_v1.snapshot"),
+       [](const std::string& p) { load_rings(p); }},
+      {"directory_v1", {}, fixture("golden_directory_v1.snapshot"),
+       [](const std::string& p) { load_directory(p); }},
+      {"oracle_v1", {}, fixture("golden_oracle_v1.snapshot"),
+       [](const std::string& p) { load_oracle(p); }},
   };
 }
 
@@ -648,9 +632,11 @@ std::vector<char> mutate(const std::vector<char>& original, Rng& rng) {
 TEST(SnapshotFuzz, RandomMutationsAlwaysThrowRonError) {
   constexpr std::size_t kMutationsPerKind = 1000;
   LabelingFixture fx;
-  for (const FuzzTarget& target : fuzz_targets(fx)) {
+  std::vector<FuzzTarget> targets = fuzz_targets(fx);
+  for (FuzzTarget& t : v1_fixture_targets()) targets.push_back(std::move(t));
+  for (const FuzzTarget& target : targets) {
     TempFile file(std::string("fuzz_") + target.name);
-    target.save(file.path());
+    target.save(target.spec, file.path());
     const std::vector<char> original = slurp(file.path());
     ASSERT_GT(original.size(), 32u) << target.name;
     // Sanity: the unmutated snapshot loads.
@@ -675,6 +661,57 @@ TEST(SnapshotFuzz, RandomMutationsAlwaysThrowRonError) {
       if (failures > 5) break;  // corrupt format: stop the flood
     }
   }
+}
+
+// --- failed saves -----------------------------------------------------------
+//
+// A save streams into a temporary file next to its target and renames it
+// over the target only once the section is complete. A save that throws
+// part-way — here write_spec refusing a reserved param key after the
+// section is already open — must leave the snapshot already at the path
+// byte-identical and loadable, and leave no temporary file behind.
+
+/// Files in the test temp dir whose name starts with `prefix`.
+std::size_t count_files_with_prefix(const std::string& prefix) {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+TEST(SnapshotSave, FailedResaveKeepsTheSnapshotAlreadyAtPath) {
+  LabelingFixture fx;
+  for (const FuzzTarget& target : fuzz_targets(fx)) {
+    SCOPED_TRACE(target.name);
+    TempFile file(std::string("failed_save_") + target.name);
+    const std::string name =
+        std::filesystem::path(file.path()).filename().string();
+    target.save(target.spec, file.path());
+    const std::vector<char> before = slurp(file.path());
+
+    ScenarioSpec unwritable = target.spec;
+    unwritable.params["churn"] = 1;  // reserved: write_spec refuses it
+    expect_error_with("reserved",
+                      [&] { target.save(unwritable, file.path()); });
+    EXPECT_EQ(slurp(file.path()), before);
+    EXPECT_NO_THROW(target.load(file.path()));
+    EXPECT_EQ(count_files_with_prefix(name), 1u) << "temporary file left";
+  }
+}
+
+TEST(SnapshotSave, RefusesATargetThatIsNotARegularFile) {
+  // The final rename would replace a directory, device or pipe at the
+  // target with a regular file; the save must refuse before writing.
+  const std::string dir = std::string(::testing::TempDir()) + "ron_save_dir";
+  std::filesystem::create_directories(dir);
+  expect_error_with("not a regular file",
+                    [&] { save_rings(make_rings(8), dir); });
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  EXPECT_EQ(count_files_with_prefix("ron_save_dir"), 1u)
+      << "temporary file left";
+  std::filesystem::remove(dir);
 }
 
 // Deterministic cases the fuzzer covers only probabilistically: each header
@@ -702,9 +739,10 @@ TEST(SnapshotCorruption, UnsupportedVersionRejected) {
 }
 
 TEST(SnapshotCorruption, VersionDowngradeFlipRejected) {
-  // A v2 file whose version field is flipped to 1 must NOT be parsed as a
-  // v1 payload: the v2 checksum domain includes the version field, so the
-  // flip is caught before any payload parsing. One target per kind.
+  // A v2 file whose version field is flipped to 1 must NOT load as a v1
+  // payload: the v2 checksum domain includes the version field, so the
+  // flip is caught by the checksum at the end of the parse if the v1 parser
+  // has not already rejected the bytes. One target per kind.
   LabelingFixture fx;
   const auto flip_version_to_v1 = [](const std::string& path) {
     std::vector<char> bytes = slurp(path);
@@ -713,7 +751,7 @@ TEST(SnapshotCorruption, VersionDowngradeFlipRejected) {
   };
   for (const FuzzTarget& target : fuzz_targets(fx)) {
     TempFile file(std::string("downgrade_") + target.name);
-    target.save(file.path());
+    target.save(target.spec, file.path());
     flip_version_to_v1(file.path());
     EXPECT_THROW(target.load(file.path()), Error) << target.name;
   }
@@ -802,10 +840,6 @@ ObjectDirectory golden_directory() {
   return dir;
 }
 
-std::string golden_path(const std::string& file) {
-  return std::string(RON_TEST_DATA_DIR) + "/" + file;
-}
-
 void check_golden_rings(const RingsOfNeighbors& loaded) {
   const RingsOfNeighbors want = golden_rings();
   ASSERT_EQ(loaded.n(), want.n());
@@ -830,16 +864,12 @@ void check_golden_directory(const ObjectDirectory& loaded) {
   }
 }
 
-/// Writes the fixture files when RON_REGEN_GOLDEN is set (a maintenance
-/// mode, skipped in normal runs). The v1 files go through the version gate,
-/// so regeneration can never silently upgrade them.
+/// Writes the v2 fixture files when RON_REGEN_GOLDEN is set (a maintenance
+/// mode, skipped in normal runs). The v1 fixtures are frozen artifacts: they
+/// were written by the v1 save path of an earlier version, and this build
+/// can only read that format.
 bool maybe_regen_golden() {
   if (std::getenv("RON_REGEN_GOLDEN") == nullptr) return false;
-  save_rings(golden_rings(), golden_path("golden_rings_v1.snapshot"),
-             ScenarioSpec{}, kSnapshotVersionV1);
-  save_directory(golden_directory_spec_v1(), golden_directory(),
-                 golden_path("golden_directory_v1.snapshot"),
-                 kSnapshotVersionV1);
   save_rings(golden_rings(), golden_path("golden_rings_v2.snapshot"),
              golden_rings_spec_v2());
   save_directory(golden_directory_spec_v2(), golden_directory(),
@@ -847,7 +877,7 @@ bool maybe_regen_golden() {
   return true;
 }
 
-TEST(GoldenSnapshot, RingsV1LoadsAndResavesBitIdenticallyThroughGate) {
+TEST(GoldenSnapshot, RingsV1LoadsAndResavesAsTheV2Fixture) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const std::string path = golden_path("golden_rings_v1.snapshot");
   ScenarioSpec spec;
@@ -856,13 +886,15 @@ TEST(GoldenSnapshot, RingsV1LoadsAndResavesBitIdenticallyThroughGate) {
   EXPECT_EQ(info.version, kSnapshotVersionV1);
   EXPECT_TRUE(spec.family.empty()) << "v1 rings carry no recipe";
   check_golden_rings(loaded);
+  // Both fixtures hold the same rings, so upgrading the v1 file with the
+  // v2 fixture's spec must reproduce the v2 fixture's bytes.
   TempFile resaved("golden_rings");
-  save_rings(loaded, resaved.path(), ScenarioSpec{}, kSnapshotVersionV1);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "the v1 writer gate no longer reproduces the v1 rings bytes";
+  save_rings(loaded, resaved.path(), golden_rings_spec_v2());
+  EXPECT_EQ(slurp(resaved.path()),
+            slurp(golden_path("golden_rings_v2.snapshot")));
 }
 
-TEST(GoldenSnapshot, DirectoryV1LoadsAndResavesBitIdenticallyThroughGate) {
+TEST(GoldenSnapshot, DirectoryV1LoadsAndResavesAsTheV2Fixture) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const std::string path = golden_path("golden_directory_v1.snapshot");
   SnapshotInfo info;
@@ -871,10 +903,31 @@ TEST(GoldenSnapshot, DirectoryV1LoadsAndResavesBitIdenticallyThroughGate) {
   EXPECT_EQ(loaded.spec, golden_directory_spec_v1());
   check_golden_directory(loaded.directory);
   TempFile resaved("golden_dir");
-  save_directory(loaded.spec, loaded.directory, resaved.path(),
-                 kSnapshotVersionV1);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "the v1 writer gate no longer reproduces the v1 directory bytes";
+  save_directory(golden_directory_spec_v2(), loaded.directory,
+                 resaved.path());
+  EXPECT_EQ(slurp(resaved.path()),
+            slurp(golden_path("golden_directory_v2.snapshot")));
+}
+
+TEST(GoldenSnapshot, OracleV1LoadsWithoutFamily) {
+  // A v1 oracle bundle carried n/seed/delta and the display name but no
+  // family. The fixture was written from a family-less spec (seed 23) over
+  // the labeling of random_cube_metric(6, 2, 23) at delta 0.25.
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  SnapshotInfo info;
+  const LoadedOracle loaded =
+      load_oracle(golden_path("golden_oracle_v1.snapshot"), &info);
+  EXPECT_EQ(info.version, kSnapshotVersionV1);
+  EXPECT_EQ(info.kind, SnapshotKind::kOracle);
+  EXPECT_TRUE(loaded.spec.family.empty());
+  EXPECT_EQ(loaded.spec.n, 6u);
+  EXPECT_EQ(loaded.spec.seed, 23u);
+  EXPECT_EQ(loaded.spec.delta, 0.25);
+  EXPECT_EQ(loaded.metric_name, "euclid-6");
+  ASSERT_EQ(loaded.labeling.n(), 6u);
+  for (NodeId u = 0; u < 6; ++u) {
+    EXPECT_EQ(loaded.labeling.label(u).id, u);
+  }
 }
 
 TEST(GoldenSnapshot, RingsV2LoadsAndResavesBitIdentically) {

@@ -1,12 +1,14 @@
-// Behaviour lock for the overlay builder: the FNV-1a checksum of the
-// save_rings snapshot for a small scenario matrix, on both proximity
-// backends.
+// Behaviour lock for the overlay builder and the snapshot encoders: the
+// FNV-1a checksum of whole snapshot files. RingsPin covers save_rings for a
+// small scenario matrix on both proximity backends; SnapshotBytesPin covers
+// the other section kinds for one fixed scenario.
 //
 // A refactor or optimisation of the build path (nets, doubling measure, X/Y
 // ring sampling, ball canonicalization) must leave every ring exactly as it
 // was; any change to which nodes land in which ring — or to the rng stream
-// that picks them — moves a checksum here. An intended change to the built
-// rings updates the constants in the same commit and says why.
+// that picks them — moves a checksum here. Likewise a change to how a
+// snapshot is framed or encoded moves the file's checksum. An intended
+// change updates the constants in the same commit and says why.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "churn/trace_generator.h"
 #include "common/check.h"
 #include "metric/sparse_proximity.h"
 #include "oracle/snapshot.h"
@@ -44,12 +47,12 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-std::uint64_t rings_checksum(const ScenarioSpec& spec, ProxBackend backend,
-                             const std::string& tag) {
-  ScenarioBuilder builder(spec, 0, backend);
-  const std::string path =
-      std::string(::testing::TempDir()) + "ron_pin_" + tag + ".snapshot";
-  save_rings(builder.rings(), path, builder.spec());
+std::string pin_path(const std::string& tag) {
+  return std::string(::testing::TempDir()) + "ron_pin_" + tag + ".snapshot";
+}
+
+/// fnv1a64 of the whole file at `path`, which is removed afterwards.
+std::uint64_t take_file_checksum(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   RON_CHECK(is.good(), "cannot open '" << path << "'");
   const std::vector<std::uint8_t> bytes(
@@ -57,6 +60,14 @@ std::uint64_t rings_checksum(const ScenarioSpec& spec, ProxBackend backend,
   is.close();
   std::remove(path.c_str());
   return fnv1a64(bytes);
+}
+
+std::uint64_t rings_checksum(const ScenarioSpec& spec, ProxBackend backend,
+                             const std::string& tag) {
+  ScenarioBuilder builder(spec, 0, backend);
+  const std::string path = pin_path(tag);
+  save_rings(builder.rings(), path, builder.spec());
+  return take_file_checksum(path);
 }
 
 class RingsPin : public ::testing::TestWithParam<PinCase> {};
@@ -87,6 +98,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.name);
     });
+
+// One fixed scenario for the kinds RingsPin does not cover. The churn
+// bundle carries a generated trace over the full active set.
+class SnapshotBytesPin : public ::testing::Test {
+ protected:
+  static ScenarioBuilder& builder() {
+    static ScenarioBuilder b(ScenarioSpec::parse("metric=clustered,n=128"), 0,
+                             ProxBackend::kDense);
+    return b;
+  }
+};
+
+TEST_F(SnapshotBytesPin, NeighborSystem) {
+  const std::string path = pin_path("nsys");
+  save_neighbor_system(builder().neighbor_system(), path, builder().spec());
+  EXPECT_EQ(hex(take_file_checksum(path)), hex(0xf8e2d2c5a3c32cb0ULL));
+}
+
+TEST_F(SnapshotBytesPin, Labeling) {
+  const std::string path = pin_path("labeling");
+  save_labeling(builder().labeling(), path, builder().spec());
+  EXPECT_EQ(hex(take_file_checksum(path)), hex(0xabd1de6ccd7e42ddULL));
+}
+
+TEST_F(SnapshotBytesPin, Oracle) {
+  const std::string path = pin_path("oracle");
+  save_oracle(builder().spec(), builder().metric().name(),
+              builder().labeling(), path);
+  EXPECT_EQ(hex(take_file_checksum(path)), hex(0x946bedba91867bcdULL));
+}
+
+TEST_F(SnapshotBytesPin, ChurnBundle) {
+  ScenarioSpec spec = builder().spec();
+  spec.churn_ops = 40;
+  const ObjectDirectory dir = builder().make_directory(8, 2);
+  const std::vector<char> active(builder().n(), 1);
+  ChurnTraceParams params;
+  params.ops = spec.churn_ops;
+  const ChurnTrace trace =
+      generate_churn_trace(builder().n(), active, dir, params, spec.churn_seed);
+  const std::string path = pin_path("churn_bundle");
+  save_churn_bundle(spec, dir, trace, path);
+  EXPECT_EQ(hex(take_file_checksum(path)), hex(0xa7d4a9d0e02febdbULL));
+}
 
 }  // namespace
 }  // namespace ron
